@@ -50,7 +50,6 @@ from ..obs.events import (
 )
 from ..obs.tracer import active_tracer
 from ..query.model import AggregationQuery
-from .confidence import ConfidenceInterval, z_for_confidence
 from .crossval import cross_validate
 from .estimators import make_estimator, observations_from_replies
 from .planner import estimate_scale
@@ -316,9 +315,9 @@ class HybridEngine:
         self._cold_runs = 0
         self._warm_runs = 0
         self._delta_runs = 0
-        self._point, self._variance = make_estimator(
+        self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
-        )
+        )[0]
 
     # ------------------------------------------------------------------
 
@@ -378,9 +377,9 @@ class HybridEngine:
             config=self._config,
             seed=self._rng.spawn(1)[0] if seed is None else seed,
         )
-        self._point, self._variance = make_estimator(
+        self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
-        )
+        )[0]
 
     # ------------------------------------------------------------------
 
@@ -541,12 +540,8 @@ class HybridEngine:
             )
         )
         estimate = self._engine.final_estimate(query, observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(observations))
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        interval = self._engine.confidence_interval(
+            query, observations, estimate
         )
 
         # Fold fresh statistics back into the cache so the plan tracks
@@ -714,12 +709,8 @@ class HybridEngine:
             variant=self._config.walk_variant,
         )
         estimate = self._engine.final_estimate(query, observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(observations))
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        interval = self._engine.confidence_interval(
+            query, observations, estimate
         )
 
         # Refresh the plan from the combined sample and re-stamp its

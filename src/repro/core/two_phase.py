@@ -450,6 +450,35 @@ class TwoPhaseEngine:
             return total_sum / total_count
         return self._point(observations)
 
+    def confidence_interval(
+        self,
+        query: AggregationQuery,
+        observations: Sequence[PeerObservation],
+        estimate: float,
+    ) -> ConfidenceInterval:
+        """The interval around ``estimate`` that every path reports.
+
+        ``z·√Var`` under the configured estimator.  For AVG the
+        variance tracks the SUM component, so the half-width is
+        rescaled into AVG units by the estimated matching count —
+        the cold, warm and delta paths all report on the answer's
+        own scale.
+        """
+        half_width = z_for_confidence(self._config.confidence) * math.sqrt(
+            self._variance(observations)
+        )
+        if query.agg is AggregateOp.AVG:
+            count_estimate = self._point(
+                self._count_projection(observations)
+            )
+            if count_estimate > 0:
+                half_width = half_width / count_estimate
+        return ConfidenceInterval(
+            estimate=estimate,
+            half_width=half_width,
+            confidence=self._config.confidence,
+        )
+
     def collect_observations(
         self,
         sink: int,
@@ -641,20 +670,8 @@ class TwoPhaseEngine:
         else:
             final_observations = observations_one
         estimate = self._final_estimate(query, final_observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(final_observations))
-        if query.agg is AggregateOp.AVG:
-            # The interval tracks the SUM component; rescale it into
-            # AVG units via the estimated matching count.
-            count_estimate = self._point(
-                self._count_projection(final_observations)
-            )
-            if count_estimate > 0:
-                half_width = half_width / count_estimate
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        interval = self.confidence_interval(
+            query, final_observations, estimate
         )
 
         effective = len(replies_one) + len(replies_two)

@@ -53,12 +53,12 @@ class TraceLike(Protocol):
     """What a completed trace looks like to its consumers.
 
     The serving layer hands traces around behind this protocol:
-    :class:`Tracer` satisfies it directly, and the sharded backend's
-    remote-trace handle satisfies it by fetching the lines from the
-    owning worker on first access.  Consumers (``write_traces``, the
-    trace-diff gates) only ever need the canonical lines and their
-    digest, so they never observe which side of a process boundary
-    the events were recorded on.
+    :class:`Tracer` satisfies it directly, and so does
+    :class:`~repro.service.codec.TraceRecord`, the lines and digest a
+    sharded worker ships back inside its reply.  Consumers
+    (``write_traces``, the trace-diff gates) only ever need the
+    canonical lines and their digest, so they never observe which
+    side of a process boundary the events were recorded on.
     """
 
     @property

@@ -43,16 +43,13 @@ Transport (the sharded backend's wire protocol)
 
 Replies never cross the pool queue as whole-object pickles.  Each
 worker flattens a reply through the versioned tuple codec
-(:mod:`repro.service.codec`), coalesces every reply of an inbound job
-batch into one queue message, and — under lazy trace shipping, the
-default — keeps the trace *lines* in a bounded worker-side store,
-sending only the digest and event count eagerly.  The parent's
-:class:`RemoteTrace` handle fetches the lines on first access (or at
-:meth:`ForkedBackend.close`, which materializes every still-remote
-trace before the workers go away), verifying them against the eagerly
-shipped digest.  None of this is observable to trace consumers: the
-fetched lines are byte-identical to eager shipping, which the parity
-suite pins.
+(:mod:`repro.service.codec`) — a traced reply's canonical lines and
+digest included — and coalesces every reply of an inbound job batch
+into one queue message.  The parent decodes each reply once, checking
+the trace lines against their digest, and keeps the resulting
+:class:`~repro.service.codec.TraceRecord` as the query's trace: it
+never calls back into a worker, so traces outlive the workers exactly
+as they do on the inline backend.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -73,17 +70,15 @@ from ..errors import (
     ConfigurationError,
     ReproError,
     ServiceError,
-    WorkerPoolError,
 )
 from ..metrics.cost import QueryCost
 from ..network.simulator import NetworkSimulator
 from ..network.walk_kernel import prime_kernel_tables
 from ..obs.events import QueryLifecycleEvent
-from ..obs.jsonl import digest_of_lines
 from ..obs.tracer import TraceLike, Tracer
 from ..query.model import AggregationQuery
 from .budget import CostBudget
-from .codec import TraceWire, decode_reply, encode_reply, reply_query_id
+from .codec import decode_reply, encode_reply, reply_query_id
 from .scheduler import (
     Completion,
     QueryTicket,
@@ -107,7 +102,6 @@ __all__ = [
     "InlineBackend",
     "QueryJob",
     "QueryReply",
-    "RemoteTrace",
     "TransportStats",
     "build_task",
     "drive_task",
@@ -417,117 +411,6 @@ class _Rebind:
     manifest: Optional[PackManifest]
 
 
-@dataclasses.dataclass(frozen=True)
-class _FetchTrace:
-    """Control message: return (and drop) one stored trace's lines."""
-
-    query_id: int
-
-
-#: Worker fetch responses: ``(_TRACE_LINES, query_id, lines)`` on a
-#: hit, ``(_TRACE_MISSING, query_id, reason)`` on a miss.  A miss is a
-#: payload rather than a raised exception so it can never discard
-#: batched job replies sharing the parent's receive sweep.
-_TRACE_LINES = "trace-lines"
-_TRACE_MISSING = "trace-missing"
-
-
-class RemoteTrace:
-    """A completed trace whose lines (may) still live in a worker.
-
-    Satisfies :class:`~repro.obs.tracer.TraceLike`: the digest and
-    event count arrived eagerly with the reply, and :attr:`lines`
-    fetches the canonical JSONL lines from the owning worker on first
-    access (verifying them against the digest), then caches them
-    parent-side.  :meth:`ForkedBackend.close` materializes every
-    handle that was never read, so traces outlive the workers exactly
-    as they do on the inline backend.
-    """
-
-    def __init__(
-        self,
-        backend: "ForkedBackend",
-        worker: int,
-        query_id: int,
-        digest: str,
-        num_events: int,
-        lines: Optional[Tuple[str, ...]] = None,
-    ):
-        self._backend = backend
-        self._worker = worker
-        self._query_id = query_id
-        self._digest = digest
-        self._num_events = num_events
-        self._lines = lines
-        self._lost: Optional[str] = None
-
-    @property
-    def query_id(self) -> int:
-        """The query this trace belongs to."""
-        return self._query_id
-
-    @property
-    def fetched(self) -> bool:
-        """Whether the lines are already parent-side."""
-        return self._lines is not None
-
-    @property
-    def num_events(self) -> int:
-        """How many events the trace holds (shipped eagerly)."""
-        return self._num_events
-
-    def digest(self) -> str:
-        """sha256 over the canonical lines (shipped eagerly)."""
-        return self._digest
-
-    @property
-    def lines(self) -> List[str]:
-        """The canonical JSONL lines, fetched on first access."""
-        return list(self.materialize())
-
-    def materialize(self) -> Tuple[str, ...]:
-        """Ensure the lines are parent-side; returns them."""
-        if self._lines is not None:
-            return self._lines
-        if self._lost is not None:
-            raise ServiceError(self._lost)
-        lines = self._backend._fetch_trace_lines(
-            self._worker, self._query_id
-        )
-        if digest_of_lines(list(lines)) != self._digest:
-            raise ServiceError(
-                f"fetched trace lines for query {self._query_id} do "
-                "not match the digest shipped with its reply"
-            )
-        self._lines = lines
-        return lines
-
-    def deliver(self, lines: Tuple[str, ...]) -> None:
-        """Accept lines that arrived outside :meth:`materialize`.
-
-        Used when a fetch aborted before consuming its response and
-        the response surfaces in a later receive sweep: the lines are
-        still the canonical ones, so they complete the handle instead
-        of being thrown away.  Digest-checked like a normal fetch; a
-        mismatch marks the handle lost rather than caching bad lines.
-        """
-        if self._lines is not None or self._lost is not None:
-            return
-        if digest_of_lines(list(lines)) != self._digest:
-            self.mark_lost(
-                f"late-delivered trace lines for query "
-                f"{self._query_id} do not match the digest shipped "
-                f"with its reply"
-            )
-            return
-        self._lines = lines
-
-    def mark_lost(self, reason: str) -> None:
-        """Record that the lines can no longer be fetched."""
-        if self._lines is None and self._lost is None:
-            self._lost = reason
-
-
 class _ShardWorker:
     """The per-worker job handler (constructed pre-fork, runs post-fork).
 
@@ -544,21 +427,13 @@ class _ShardWorker:
         simulator: NetworkSimulator,
         settings: EngineSettings,
         manifest: Optional[PackManifest],
-        *,
-        lazy_traces: bool = True,
-        trace_store_limit: int = 2048,
     ):
         self._simulator = simulator
         self._settings = settings
         self._manifest = manifest
-        self._lazy_traces = lazy_traces
-        self._trace_store_limit = trace_store_limit
         self._cache = PlanCache()
         self._view: Optional[SnapshotView] = None
         self._attached = False
-        # Post-fork, per-worker: trace lines retained for on-demand
-        # fetch, oldest evicted beyond the bound.
-        self._traces: "OrderedDict[int, Tuple[str, ...]]" = OrderedDict()
 
     def _attach(self) -> None:
         if self._attached:
@@ -583,26 +458,9 @@ class _ShardWorker:
         self._attached = False
         return "rebound"
 
-    def _fetch_trace(self, control: _FetchTrace) -> object:
-        lines = self._traces.pop(control.query_id, None)
-        if lines is None:
-            return (
-                _TRACE_MISSING,
-                control.query_id,
-                f"trace lines for query {control.query_id} are not in "
-                f"this worker's store (never captured, already "
-                f"fetched, or evicted past the "
-                f"{self._trace_store_limit}-entry bound)",
-            )
-        return (_TRACE_LINES, control.query_id, lines)
-
-    def __call__(
-        self, item: Union[QueryJob, _Rebind, _FetchTrace]
-    ) -> object:
+    def __call__(self, item: Union[QueryJob, _Rebind]) -> object:
         if isinstance(item, _Rebind):
             return self._rebind(item)
-        if isinstance(item, _FetchTrace):
-            return self._fetch_trace(item)
         self._attach()
         cache = self._cache
         hits = cache.hits
@@ -611,34 +469,14 @@ class _ShardWorker:
         delta = cache.delta_hits
         task = build_task(self._simulator, self._settings, cache, item)
         completion = drive_task(task)
-        reply = _reply_from_completion(completion)
-        trace: Optional[TraceWire] = None
-        tracer = reply.tracer
-        if tracer is not None:
-            # The vt stamps are already baked into the lines; neither
-            # the clock nor the tracer crosses the process boundary.
-            lines = tuple(tracer.lines)
-            if self._lazy_traces:
-                self._traces[item.query_id] = lines
-                while len(self._traces) > self._trace_store_limit:
-                    self._traces.popitem(last=False)
-                wire_lines: Optional[Tuple[str, ...]] = None
-            else:
-                wire_lines = lines
-            trace = TraceWire(
-                digest=tracer.digest(),
-                num_events=tracer.num_events,
-                lines=wire_lines,
-            )
         reply = dataclasses.replace(
-            reply,
-            tracer=None,
+            _reply_from_completion(completion),
             cache_hits=cache.hits - hits,
             cache_misses=cache.misses - misses,
             cache_churn_invalidations=cache.churn_invalidations - churn,
             cache_delta_hits=cache.delta_hits - delta,
         )
-        return encode_reply(reply, trace=trace)
+        return encode_reply(reply)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -702,21 +540,11 @@ class ForkedBackend(ExecutionBackend):
     Submitted jobs are buffered per worker and flushed as one batch
     message per worker at the next :meth:`pump` (so a burst of
     submissions costs one pickle per worker, not one per job), and
-    each worker answers a batch with one coalesced reply message.
+    each worker answers a batch with one coalesced reply message, trace
+    lines included.
 
     Parameters
     ----------
-    lazy_traces:
-        When on (default), traced replies ship only the digest and
-        event count; the lines stay in the owning worker's bounded
-        store and the parent's :class:`RemoteTrace` fetches them on
-        first access (close materializes the rest).  Off ships lines
-        eagerly with every reply — bit-identical trace content, more
-        bytes per reply.
-    trace_store_limit:
-        Per-worker bound on retained lazy traces; beyond it the
-        oldest is evicted and a later fetch for it raises
-        :class:`~repro.errors.ServiceError`.
     measure_transport:
         Account queue traffic in :meth:`transport_stats` by
         re-pickling every shipped payload.  Bench-only: doubles
@@ -731,31 +559,18 @@ class ForkedBackend(ExecutionBackend):
         settings: EngineSettings,
         workers: int,
         *,
-        share_arrays: bool = True,
-        lazy_traces: bool = True,
-        trace_store_limit: int = 2048,
         measure_transport: bool = False,
     ):
         _pool.effective_workers(workers, cap=False, label="QueryService")
-        if trace_store_limit < 1:
-            raise ConfigurationError("trace_store_limit must be >= 1")
         self._settings = settings
         self._workers = workers
         self._simulator = simulator
-        self._share_arrays = share_arrays
-        self._lazy_traces = bool(lazy_traces)
-        self._pack = self._export(simulator, share_arrays)
+        self._pack = self._export(simulator)
         try:
             manifest = (
                 self._pack.manifest if self._pack is not None else None
             )
-            self._handler = _ShardWorker(
-                simulator,
-                settings,
-                manifest,
-                lazy_traces=self._lazy_traces,
-                trace_store_limit=trace_store_limit,
-            )
+            self._handler = _ShardWorker(simulator, settings, manifest)
             self._fork_pool = _pool.ForkPool(
                 workers, self._handler, name="repro-shard"
             )
@@ -776,20 +591,13 @@ class ForkedBackend(ExecutionBackend):
         # slim wire replies carry only the id; the query object never
         # crosses the queue twice.
         self._tickets: Dict[int, QueryTicket] = {}
-        # Lazy trace handles not yet materialized, keyed by query id.
-        self._traces: Dict[int, RemoteTrace] = {}
-        # Replies folded while waiting for a trace fetch, delivered
-        # by the next pump.
+        # Replies folded by a pump that then raised, delivered by the
+        # next pump.
         self._ready: List[QueryReply] = []
         # Raw wire payloads received but not yet folded.  Every
-        # recv_many sweep lands here first, so resolving (or failing
-        # on) one payload can never discard the rest of its batch.
+        # recv_many sweep lands here first, so failing on one payload
+        # can never discard the rest of its batch.
         self._inbound: "deque[object]" = deque()
-        # query id -> count of trace-fetch responses still owed to
-        # fetches that raised before consuming their answer.  Lets
-        # later sweeps recognize the late answer instead of choking
-        # on it as an unknown reply.
-        self._stale_fetches: Dict[int, int] = {}
         self._outstanding = 0
         self._cache_stats = CacheStats(
             hits=0, misses=0, churn_invalidations=0, delta_hits=0
@@ -800,13 +608,11 @@ class ForkedBackend(ExecutionBackend):
         self._closed = False
 
     @staticmethod
-    def _export(
-        simulator: NetworkSimulator, share_arrays: bool
-    ) -> Optional[SharedArrayPack]:
+    def _export(simulator: NetworkSimulator) -> Optional[SharedArrayPack]:
         # Fault plans force the per-peer visit path, which never reads
         # the flat view — mirror the service's _prime and skip the
         # segment rather than materialize a view nobody maps.
-        if not share_arrays or simulator.faults_active:
+        if simulator.faults_active:
             return None
         return export_snapshot(simulator)
 
@@ -816,11 +622,6 @@ class ForkedBackend(ExecutionBackend):
     def workers(self) -> int:
         """Number of shard-owner processes."""
         return self._workers
-
-    @property
-    def lazy_traces(self) -> bool:
-        """Whether trace lines ship on demand instead of eagerly."""
-        return self._lazy_traces
 
     def transport_stats(self) -> TransportStats:
         """Measured queue traffic (requires ``measure_transport``)."""
@@ -868,19 +669,7 @@ class ForkedBackend(ExecutionBackend):
             raise ServiceError(
                 f"worker reply for unknown query {query_id}"
             )
-        reply, trace = decode_reply(payload, ticket=ticket)
-        if trace is not None:
-            handle = RemoteTrace(
-                self,
-                shard_for_signature(ticket.signature, self._workers),
-                query_id,
-                trace.digest,
-                trace.num_events,
-                lines=trace.lines,
-            )
-            if trace.lines is None:
-                self._traces[query_id] = handle
-            reply = dataclasses.replace(reply, tracer=handle)
+        reply = decode_reply(payload, ticket=ticket)
         self._outstanding -= 1
         self._cache_stats = CacheStats(
             hits=self._cache_stats.hits + reply.cache_hits,
@@ -894,54 +683,6 @@ class ForkedBackend(ExecutionBackend):
             ),
         )
         return reply
-
-    @staticmethod
-    def _is_fetch_response(payload: object) -> bool:
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] in (_TRACE_LINES, _TRACE_MISSING)
-        )
-
-    def _absorb_stale_fetch(self, payload: tuple) -> None:
-        """Consume a trace-fetch response nobody is waiting on.
-
-        Only an aborted fetch (one that raised before consuming its
-        answer) can leave such a response behind; anything else is a
-        protocol violation and raises.  A stale ``_TRACE_LINES``
-        response still carries the canonical lines, so it completes
-        the query's handle instead of being dropped.
-        """
-        tag, query_id, body = payload
-        owed = self._stale_fetches.get(query_id, 0)
-        if not owed:
-            raise ServiceError(
-                f"stray trace-fetch response for query {query_id} "
-                "with no aborted fetch to account for it"
-            )
-        if owed == 1:
-            del self._stale_fetches[query_id]
-        else:
-            self._stale_fetches[query_id] = owed - 1
-        if tag == _TRACE_LINES:
-            handle = self._traces.pop(query_id, None)
-            if handle is not None:
-                handle.deliver(body)
-
-    def _next_inbound(self) -> object:
-        """The next raw wire payload, receiving a batch when dry.
-
-        Blocks (crash-aware) only when the parent-side buffer is
-        empty; a whole ``recv_many`` sweep lands in the buffer before
-        anything is folded, so one payload's failure never discards
-        the payloads behind it.
-        """
-        if not self._inbound:
-            self._inbound.extend(
-                payload
-                for _, _, payload in self._fork_pool.recv_many()
-            )
-        return self._inbound.popleft()
 
     def pump(self) -> List[QueryReply]:
         replies = list(self._ready)
@@ -962,11 +703,7 @@ class ForkedBackend(ExecutionBackend):
                             break
                         self._inbound.append(extra[2])
             while self._inbound:
-                payload = self._inbound.popleft()
-                if self._is_fetch_response(payload):
-                    self._absorb_stale_fetch(payload)
-                    continue
-                replies.append(self._fold(payload))
+                replies.append(self._fold(self._inbound.popleft()))
         except BaseException:
             # Surface the failure without losing anything already
             # folded: collected replies go back on the ready buffer
@@ -975,52 +712,6 @@ class ForkedBackend(ExecutionBackend):
             self._ready[:0] = replies
             raise
         return replies
-
-    def _fetch_trace_lines(
-        self, worker: int, query_id: int
-    ) -> Tuple[str, ...]:
-        """Pull one trace's lines out of its owning worker's store.
-
-        Job replies sharing a receive sweep with the fetch response —
-        before *or* after it in the batch — are folded into the ready
-        buffer (or kept raw in the inbound buffer), so interleaving a
-        trace read with live traffic loses nothing.  If the fetch
-        raises before consuming its response, the response is
-        remembered as owed and absorbed by a later sweep instead of
-        surfacing as an unknown reply.
-        """
-        if self._closed:
-            raise ServiceError(
-                f"cannot fetch trace lines for query {query_id}: the "
-                "sharded backend is closed and its workers are gone"
-            )
-        self._fork_pool.send(worker, -2, _FetchTrace(query_id))
-        answered = False
-        try:
-            while True:
-                payload = self._next_inbound()
-                if self._is_fetch_response(payload):
-                    if payload[1] != query_id:
-                        self._absorb_stale_fetch(payload)
-                        continue
-                    answered = True
-                    self._traces.pop(query_id, None)
-                    if payload[0] == _TRACE_MISSING:
-                        raise ServiceError(payload[2])
-                    return payload[2]
-                self._ready.append(self._fold(payload))
-        except WorkerPoolError as error:
-            raise ServiceError(
-                f"trace fetch for query {query_id} failed: {error}"
-            ) from error
-        finally:
-            if not answered:
-                # The worker will (or did) still answer this fetch;
-                # account for the response so the sweep that finds it
-                # knows it is stale rather than a protocol error.
-                self._stale_fetches[query_id] = (
-                    self._stale_fetches.get(query_id, 0) + 1
-                )
 
     @property
     def idle(self) -> bool:
@@ -1048,18 +739,7 @@ class ForkedBackend(ExecutionBackend):
         # the swap cannot fail anymore.  Export first; on any failure
         # through the ack loop, retire the new segment and re-raise
         # with the old simulator, pack and manifests fully intact.
-        # With nothing outstanding the inbound buffer can only hold
-        # responses owed to aborted trace fetches; absorb them so the
-        # ack loop below sees acks alone.
-        while self._inbound:
-            payload = self._inbound.popleft()
-            if not self._is_fetch_response(payload):
-                raise ServiceError(
-                    f"unexpected buffered payload {payload!r} with no "
-                    "queries outstanding"
-                )
-            self._absorb_stale_fetch(payload)
-        new_pack = self._export(simulator, self._share_arrays)
+        new_pack = self._export(simulator)
         try:
             manifest = (
                 new_pack.manifest if new_pack is not None else None
@@ -1068,11 +748,6 @@ class ForkedBackend(ExecutionBackend):
             acks = 0
             while acks < self._workers:
                 _, _, payload = self._fork_pool.recv()
-                if self._is_fetch_response(payload):
-                    # A stale fetch response can trail into the ack
-                    # sweep if the worker answered after the abort.
-                    self._absorb_stale_fetch(payload)
-                    continue
                 if payload != "rebound":
                     raise ServiceError(
                         f"unexpected rebind acknowledgement {payload!r}"
@@ -1090,36 +765,13 @@ class ForkedBackend(ExecutionBackend):
             old_pack.close()
             old_pack.unlink()
 
-    def _materialize_traces(self) -> None:
-        """Fetch every still-remote trace before the workers go away.
-
-        Best-effort: a trace whose worker already died is marked lost
-        (reading it raises :class:`~repro.errors.ServiceError` with
-        the reason) rather than blocking close.
-        """
-        for query_id in sorted(self._traces):
-            handle = self._traces.get(query_id)
-            if handle is None:
-                continue
-            try:
-                handle.materialize()
-            except ServiceError as error:
-                handle.mark_lost(
-                    f"trace lines for query {query_id} were lost "
-                    f"before close could fetch them: {error}"
-                )
-        self._traces.clear()
-
     def close(self) -> None:
         if self._closed:
             return
-        try:
-            self._materialize_traces()
-        finally:
-            self._closed = True
-            self._buffered = [[] for _ in range(self._workers)]
-            self._fork_pool.close()
-            if self._pack is not None:
-                self._pack.close()
-                self._pack.unlink()
-                self._pack = None
+        self._closed = True
+        self._buffered = [[] for _ in range(self._workers)]
+        self._fork_pool.close()
+        if self._pack is not None:
+            self._pack.close()
+            self._pack.unlink()
+            self._pack = None

@@ -22,30 +22,37 @@ Objects with no fixed schema — a result ``analysis`` payload, a
 :class:`~repro.errors.ReproError`, a non-standard result type — ride
 inside the tuple as-is and are pickled by the queue exactly as
 before; the codec only flattens the shapes it knows.
+
+A traced reply carries its whole trace — canonical lines, digest and
+event count — in one slot.  Decoding checks the lines against the
+shipped digest and rebuilds the trace as a :class:`TraceRecord`,
+which trace consumers read directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.confidence import ConfidenceInterval
 from ..core.result import ApproximateResult, PhaseReport
 from ..errors import ServiceError
 from ..metrics.cost import QueryCost
+from ..obs.jsonl import digest_of_lines
+from ..obs.tracer import TraceLike
 from ..sim.timing import QueryTiming
 from .scheduler import QueryTicket
 
 __all__ = [
     "REPLY_WIRE_VERSION",
-    "TraceWire",
+    "TraceRecord",
     "decode_reply",
     "encode_reply",
     "reply_query_id",
 ]
 
 #: Bump on any change to the tuple layouts below.
-REPLY_WIRE_VERSION = 1
+REPLY_WIRE_VERSION = 2
 
 #: Marker for a result slot holding an arbitrary (opaque) object.
 _OPAQUE = "obj"
@@ -56,17 +63,27 @@ _COST_FROM_RESULT = "result"
 
 
 @dataclasses.dataclass(frozen=True)
-class TraceWire:
-    """A trace as it crosses the queue: digest now, lines maybe.
+class TraceRecord:
+    """A completed trace: its canonical lines, digest and event count.
 
-    ``lines`` is ``None`` under lazy shipping — the worker kept them
-    in its store and the parent fetches on demand — and the full
-    tuple under eager shipping.
+    What :func:`decode_reply` rebuilds from a traced reply, and what
+    the parent keeps as the query's trace.  It satisfies
+    :class:`~repro.obs.tracer.TraceLike`, so consumers never see
+    which process recorded the events.
     """
 
-    digest: str
+    canonical_lines: Tuple[str, ...]
+    sha256: str
     num_events: int
-    lines: Optional[Tuple[str, ...]]
+
+    @property
+    def lines(self) -> List[str]:
+        """The canonical JSONL lines, in emission order."""
+        return list(self.canonical_lines)
+
+    def digest(self) -> str:
+        """sha256 over the canonical lines."""
+        return self.sha256
 
 
 def _encode_cost(cost: Optional[QueryCost]) -> Optional[tuple]:
@@ -207,13 +224,16 @@ def _decode_result(
     )
 
 
-def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
-    """Flatten one ``QueryReply`` (tracer excluded) for the queue.
+def _encode_trace(trace: Optional[TraceLike]) -> Optional[tuple]:
+    if trace is None:
+        return None
+    # The vt stamps are already baked into the lines; neither the
+    # clock nor the tracer crosses the process boundary.
+    return (trace.digest(), trace.num_events, tuple(trace.lines))
 
-    ``trace`` carries the reply's trace separately — the caller
-    decides whether the lines ride along (eager) or stay worker-side
-    (lazy) — so the reply tuple itself is trace-free either way.
-    """
+
+def encode_reply(reply: Any) -> tuple:
+    """Flatten one ``QueryReply`` — its trace included — for the queue."""
     result_slot = _encode_result(reply.result)
     if reply.result is not None and reply.cost is reply.result.cost:
         # The common "done" shape: don't ship the same ledger twice.
@@ -229,9 +249,7 @@ def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
         reply.detail,
         cost_slot,
         reply.chunks,
-        (trace.digest, trace.num_events, trace.lines)
-        if trace is not None
-        else None,
+        _encode_trace(reply.tracer),
         reply.warm_runs,
         reply.cold_runs,
         reply.delta_runs,
@@ -261,16 +279,30 @@ def reply_query_id(wire: object) -> int:
     return int(_check_version(wire)[1])
 
 
-def decode_reply(
-    wire: object, *, ticket: QueryTicket
-) -> Tuple[Any, Optional[TraceWire]]:
-    """Rebuild ``(QueryReply, trace)`` from one encoded reply.
+def _decode_trace(
+    data: Optional[tuple], query_id: int
+) -> Optional[TraceRecord]:
+    if data is None:
+        return None
+    digest, num_events, lines = data
+    if digest_of_lines(lines) != digest:
+        raise ServiceError(
+            f"trace lines for query {query_id} do not match the digest "
+            "shipped with its reply"
+        )
+    return TraceRecord(
+        canonical_lines=lines, sha256=digest, num_events=num_events
+    )
+
+
+def decode_reply(wire: object, *, ticket: QueryTicket) -> Any:
+    """Rebuild the ``QueryReply`` of one encoded reply.
 
     ``ticket`` must be the parent's ticket for the reply's query id —
-    it supplies the query object the encoder dropped.  The returned
-    reply has ``tracer=None``; the caller attaches its own handle
-    from the returned :class:`TraceWire` (``None`` for an untraced
-    run).
+    it supplies the query object the encoder dropped.  A traced
+    reply's ``tracer`` comes back as a :class:`TraceRecord`, its lines
+    checked against the shipped digest; a mismatch raises
+    :class:`~repro.errors.ServiceError`.
     """
     from .backend import QueryReply
 
@@ -286,17 +318,7 @@ def decode_reply(
         cost = result.cost
     else:
         cost = _decode_cost(data[6])
-    trace_slot = data[8]
-    trace = (
-        TraceWire(
-            digest=trace_slot[0],
-            num_events=trace_slot[1],
-            lines=trace_slot[2],
-        )
-        if trace_slot is not None
-        else None
-    )
-    reply = QueryReply(
+    return QueryReply(
         ticket=ticket,
         status=data[2],
         result=result,
@@ -304,7 +326,7 @@ def decode_reply(
         detail=data[5],
         cost=cost,
         chunks=data[7],
-        tracer=None,
+        tracer=_decode_trace(data[8], ticket.query_id),
         warm_runs=data[9],
         cold_runs=data[10],
         delta_runs=data[11],
@@ -313,4 +335,3 @@ def decode_reply(
         cache_churn_invalidations=data[14],
         cache_delta_hits=data[15],
     )
-    return reply, trace

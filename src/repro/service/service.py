@@ -322,11 +322,9 @@ class QueryService:
         """The query's private trace (``capture_traces`` only),
         available once the query has resolved.
 
-        On a sharded service the lines may still live in the owning
-        worker (lazy trace shipping): the returned handle fetches
-        them on first ``.lines`` access and :meth:`close`
-        materializes any never-read traces, so the lines survive the
-        workers either way — byte-identical to the inline backend's.
+        On a sharded service the lines arrived with the query's reply,
+        so the trace stays readable after :meth:`close` —
+        byte-identical to the inline backend's.
         """
         return self._tracers.get(ticket.query_id)
 
@@ -491,10 +489,9 @@ class QueryService:
 
         A no-op for the inline backend; a sharded service must be
         closed — or used as a context manager — to reap its workers
-        and unlink its shared-memory segment.  Closing first pulls
-        any still-worker-side trace lines into this process, so
-        :meth:`trace` and :meth:`write_traces` keep working on a
-        closed service.  Idempotent.
+        and unlink its shared-memory segment.  :meth:`trace` and
+        :meth:`write_traces` keep working on a closed service.
+        Idempotent.
         """
         self._backend.close()
 

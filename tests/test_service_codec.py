@@ -5,9 +5,10 @@ bit for bit: the serial==sharded parity gates compare estimates, cost
 ledgers and counters across the process boundary, so the codec may
 not perturb a single float.  Hypothesis builds replies over the full
 field space (finite and infinite floats, optional phases/timings,
-opaque analysis payloads) and pins exact equality both ways, plus the
-versioning contract: a wire tuple from any other codec version fails
-loudly as a :class:`~repro.errors.ServiceError`, never a mis-zip.
+opaque analysis payloads, traces) and pins exact equality both ways,
+plus the versioning contract: a wire tuple from any other codec
+version fails loudly as a :class:`~repro.errors.ServiceError`, never
+a mis-zip — and so do trace lines that do not match their digest.
 """
 
 import dataclasses
@@ -20,11 +21,12 @@ from repro.core.confidence import ConfidenceInterval
 from repro.core.result import ApproximateResult, MedianResult, PhaseReport
 from repro.errors import ReproError, ServiceError
 from repro.metrics.cost import QueryCost
+from repro.obs.jsonl import digest_of_lines
 from repro.query.parser import parse_query
 from repro.service.backend import QueryReply
 from repro.service.codec import (
     REPLY_WIRE_VERSION,
-    TraceWire,
+    TraceRecord,
     decode_reply,
     encode_reply,
     reply_query_id,
@@ -103,22 +105,25 @@ results = st.builds(
     timing=timings,
 )
 
+def trace_record(lines, num_events):
+    return TraceRecord(
+        canonical_lines=lines,
+        sha256=digest_of_lines(lines),
+        num_events=num_events,
+    )
+
+
 traces = st.one_of(
     st.none(),
     st.builds(
-        TraceWire,
-        digest=st.text(min_size=1, max_size=64),
+        trace_record,
+        lines=st.lists(st.text(max_size=40), max_size=5).map(tuple),
         num_events=counts,
-        lines=st.one_of(
-            st.none(),
-            st.tuples(),
-            st.lists(st.text(max_size=40), max_size=5).map(tuple),
-        ),
     ),
 )
 
 
-def done_reply(result):
+def done_reply(result, tracer=None):
     return QueryReply(
         ticket=TICKET,
         status="done",
@@ -127,7 +132,7 @@ def done_reply(result):
         detail="",
         cost=result.cost,
         chunks=3,
-        tracer=None,
+        tracer=tracer,
         warm_runs=1,
         cold_runs=0,
         delta_runs=0,
@@ -142,12 +147,14 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(result=results, trace=traces)
     def test_done_reply_round_trips_exactly(self, result, trace):
-        reply = done_reply(result)
-        wire = encode_reply(reply, trace=trace)
+        reply = done_reply(result, tracer=trace)
+        wire = encode_reply(reply)
         assert reply_query_id(wire) == TICKET.query_id
-        decoded, decoded_trace = decode_reply(wire, ticket=TICKET)
+        decoded = decode_reply(wire, ticket=TICKET)
         assert decoded == reply
-        assert decoded_trace == trace
+        if trace is not None:
+            assert decoded.tracer.lines == list(trace.canonical_lines)
+            assert decoded.tracer.digest() == trace.digest()
         # The parent-side result must alias the ticket's query and the
         # reply's own cost object, exactly like a worker-built reply.
         assert decoded.result.query is TICKET.query
@@ -180,10 +187,8 @@ class TestRoundTrip:
             delta_runs=0,
             cache_misses=1,
         )
-        decoded, decoded_trace = decode_reply(
-            encode_reply(reply, trace=None), ticket=TICKET
-        )
-        assert decoded_trace is None
+        decoded = decode_reply(encode_reply(reply), ticket=TICKET)
+        assert decoded.tracer is None
         # Errors cross as objects, so identity (not just equality)
         # survives the in-process round trip.
         assert decoded.error is error
@@ -203,9 +208,7 @@ class TestRoundTrip:
             cost=QueryCost(messages=9),
         )
         reply = done_reply(median)
-        decoded, _ = decode_reply(
-            encode_reply(reply, trace=None), ticket=TICKET
-        )
+        decoded = decode_reply(encode_reply(reply), ticket=TICKET)
         assert decoded.result is median
         assert decoded.cost is median.cost
 
@@ -226,8 +229,7 @@ class TestVersioning:
                     phase_two=None,
                     cost=QueryCost(),
                 )
-            ),
-            trace=None,
+            )
         )
         tampered = (REPLY_WIRE_VERSION + 1,) + wire[1:]
         with pytest.raises(ServiceError, match="version"):
@@ -251,7 +253,7 @@ class TestVersioning:
             phase_two=None,
             cost=QueryCost(),
         )
-        wire = encode_reply(done_reply(result), trace=None)
+        wire = encode_reply(done_reply(result))
         other = QueryTicket(
             query_id=8,
             query=QUERY,
@@ -260,3 +262,22 @@ class TestVersioning:
         )
         with pytest.raises(ServiceError, match="ticket"):
             decode_reply(wire, ticket=other)
+
+    def test_trace_lines_must_match_their_digest(self):
+        result = ApproximateResult(
+            query=QUERY,
+            estimate=1.0,
+            delta_req=0.1,
+            scale=10.0,
+            confidence_interval=ConfidenceInterval(1.0, 0.5, 0.95),
+            phase_one=PhaseReport(peers_visited=1, tuples_sampled=1, hops=1),
+            phase_two=None,
+            cost=QueryCost(),
+        )
+        trace = trace_record(('{"seq":0}', '{"seq":1}'), 2)
+        wire = encode_reply(done_reply(result, tracer=trace))
+        assert decode_reply(wire, ticket=TICKET).tracer == trace
+        digest, num_events, lines = wire[8]
+        tampered = wire[:8] + ((digest, num_events, lines[:1]),) + wire[9:]
+        with pytest.raises(ServiceError, match="digest"):
+            decode_reply(tampered, ticket=TICKET)

@@ -42,7 +42,6 @@ from repro.service import backend as backend_module
 from repro.service.backend import (
     EngineSettings,
     ForkedBackend,
-    RemoteTrace,
     shard_for_signature,
 )
 from repro.tools.trace.cli import main as trace_main
@@ -93,10 +92,10 @@ def run_sharded(small_network, workers, **kwargs):
 def service_with_backend(network, workers, **backend_kwargs):
     """A traced QueryService around an explicitly-built ForkedBackend.
 
-    The service API deliberately does not surface the transport knobs
-    (``lazy_traces``, ``trace_store_limit``, ``measure_transport``);
-    tests that need them construct the backend directly with settings
-    matching the service defaults.
+    The service API deliberately does not surface the transport meter
+    (``measure_transport``); tests that need it, or need direct access
+    to the backend, construct it with settings matching the service
+    defaults.
     """
     settings_ = EngineSettings(
         config=CONFIG, chunk_peers=8, max_age=25, decay=0.7,
@@ -517,128 +516,11 @@ class TestBatchedPool:
 
 
 class TestLazyTraceTransport:
-    """Lazy trace shipping: digests eager, lines fetched on demand."""
+    """Reply transport: batched replies that carry their trace lines.
 
-    def test_lines_fetch_on_demand_and_cache(self, small_network):
-        service = service_with_backend(small_network, 2)
-        try:
-            ticket = service.submit(COUNT_30, 0.1)
-            service.run()
-            handle = service.trace(ticket)
-            assert isinstance(handle, RemoteTrace)
-            # Digest and event count shipped with the reply; the
-            # lines themselves did not.
-            assert not handle.fetched
-            assert handle.num_events > 0
-            digest = handle.digest()
-            assert not handle.fetched
-            lines = handle.lines
-            assert handle.fetched
-            assert lines
-            assert handle.digest() == digest
-            assert handle.lines == lines  # cached parent-side now
-        finally:
-            service.close()
-
-    def test_eager_shipping_matches_lazy_byte_for_byte(
-        self, small_network
-    ):
-        lazy_svc, lazy_tickets, _ = run_sharded(small_network, 2)
-        eager_svc = service_with_backend(
-            small_network, 2, lazy_traces=False
-        )
-        try:
-            assert eager_svc.backend.lazy_traces is False
-            eager_tickets = [
-                eager_svc.submit(query, 0.1) for query in WORKLOAD
-            ]
-            eager_svc.run()
-            for lazy_t, eager_t in zip(lazy_tickets, eager_tickets):
-                eager_trace = eager_svc.trace(eager_t)
-                assert eager_trace.fetched  # lines rode the reply
-                lazy_trace = lazy_svc.trace(lazy_t)
-                assert lazy_trace.lines == eager_trace.lines
-                assert lazy_trace.digest() == eager_trace.digest()
-        finally:
-            eager_svc.close()
-
-    def test_close_materializes_unread_traces(self, small_network):
-        service = service_with_backend(small_network, 1)
-        ticket = service.submit(COUNT_30, 0.1)
-        service.run()
-        handle = service.trace(ticket)
-        assert not handle.fetched
-        service.close()
-        # The workers are gone, but close pulled the lines over first.
-        assert handle.fetched
-        assert handle.lines
-
-    def test_fetch_interleaved_with_live_traffic(self, small_network):
-        service = service_with_backend(small_network, 2)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            later = [service.submit(query, 0.1) for query in WORKLOAD]
-            service.tick()  # flush the batch so replies race the fetch
-            # Reading the early trace mid-workload must not drop any
-            # of the job replies arriving behind the fetch response.
-            assert service.trace(first).lines
-            service.run()
-            outcomes = [service.outcome(ticket) for ticket in later]
-            assert all(o is not None and o.ok for o in outcomes)
-        finally:
-            service.close()
-
-    def test_fetch_response_mid_batch_keeps_trailing_replies(
-        self, small_network, monkeypatch
-    ):
-        """Regression: job replies landing in the SAME receive sweep
-        *after* the fetch response used to be dropped on the floor,
-        wedging the backend (outstanding never drained)."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            assert not handle.fetched
-            backend = service.backend
-            later = [service.submit(query, 0.1) for query in WORKLOAD]
-            backend._flush()
-            real = backend._fork_pool.recv_many
-
-            def fetch_first(**kwargs):
-                # Collect until the fetch response arrived, then sort
-                # it to the FRONT so every job reply trails it in the
-                # one batch _fetch_trace_lines sees.
-                batch = list(real(**kwargs))
-                while not any(
-                    backend._is_fetch_response(p) for _, _, p in batch
-                ):
-                    batch.extend(real(**kwargs))
-                batch.sort(
-                    key=lambda r: 0
-                    if backend._is_fetch_response(r[2])
-                    else 1
-                )
-                return batch
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", fetch_first
-            )
-            assert handle.lines
-            # Nothing behind the fetch response was lost: every job
-            # reply is either folded or still buffered raw, waiting
-            # for the next pump.
-            assert (
-                len(backend._ready) + len(backend._inbound)
-                == len(WORKLOAD)
-            )
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            service.run()
-            outcomes = [service.outcome(ticket) for ticket in later]
-            assert all(o is not None and o.ok for o in outcomes)
-        finally:
-            service.close()
+    The class name predates eager shipping; it is kept so the ids of
+    the tests below stay stable.
+    """
 
     def test_pump_exception_preserves_folded_replies(
         self, small_network, monkeypatch
@@ -667,133 +549,39 @@ class TestLazyTraceTransport:
         finally:
             service.close()
 
-    def test_aborted_fetch_response_is_salvaged_by_next_pump(
-        self, small_network, monkeypatch
-    ):
-        """Regression: if a fetch raised before consuming its answer,
-        the answer later hit _fold and failed as an 'unexpected wire
-        payload'.  Now the next sweep recognizes it as the stale
-        response — and, since it carries the canonical lines, it
-        completes the handle instead of being thrown away."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            assert not handle.fetched
-            backend = service.backend
-            real = backend._fork_pool.recv_many
-
-            def poison_ahead(**kwargs):
-                return [(0, 99, ("garbage",))] + list(real(**kwargs))
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", poison_ahead
-            )
-            with pytest.raises(ServiceError, match="wire payload"):
-                handle.materialize()
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            # The unconsumed fetch response is absorbed, not fatal.
-            assert backend.pump() == []
-            assert handle.fetched
-            assert handle.lines
-            assert not backend._stale_fetches
-        finally:
-            service.close()
-
-    def test_rebind_absorbs_stale_fetch_response(
-        self, small_network, monkeypatch
-    ):
-        """A fetch response left over from an aborted fetch must not
-        masquerade as a bad rebind acknowledgement."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            backend = service.backend
-            real = backend._fork_pool.recv_many
-
-            def poison_ahead(**kwargs):
-                return [(0, 99, ("garbage",))] + list(real(**kwargs))
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", poison_ahead
-            )
-            with pytest.raises(ServiceError, match="wire payload"):
-                handle.materialize()
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            backend.rebind(small_network)
-            assert not backend._stale_fetches
-            assert handle.fetched  # the stale response completed it
-        finally:
-            service.close()
-
-    def test_trace_store_bound_evicts_oldest(self, small_network):
-        service = service_with_backend(
-            small_network, 1, trace_store_limit=1
-        )
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            second = service.submit(SUM_50, 0.1)
-            service.run()
-            with pytest.raises(ServiceError, match="bound"):
-                service.trace(first).lines
-            assert service.trace(second).lines
-        finally:
-            service.close()
-
-    def test_fetch_after_close_raises_not_deadlocks(self, small_network):
-        service = service_with_backend(small_network, 1)
-        ticket = service.submit(COUNT_30, 0.1)
-        service.run()
-        backend = service.backend
-        service.close()
-        # close materialized the handle: the public path still works.
-        assert service.trace(ticket).lines
-        # A raw fetch against the closed backend fails typed.
-        with pytest.raises(ServiceError, match="closed"):
-            backend._fetch_trace_lines(0, ticket.query_id)
-
-    def test_trace_after_workers_reaped_is_marked_lost(
+    def test_traces_survive_killed_workers_and_close(
         self, small_network
     ):
+        """Each trace arrived with its reply, so the traces of resolved
+        queries outlive their workers and the service itself."""
         service = service_with_backend(small_network, 2)
-        ticket = service.submit(COUNT_30, 0.1)
+        tickets = [service.submit(query, 0.1) for query in WORKLOAD]
         service.run()
-        handle = service.trace(ticket)
-        assert not handle.fetched
         for process in service.backend._fork_pool._processes:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=10)
-        service.close()  # must not hang: the close-time fetch fails typed
-        with pytest.raises(ServiceError, match="lost"):
-            handle.lines
+        service.close()
+        inline, inline_tickets, _ = run_inline(small_network, 4)
+        for ticket, reference in zip(tickets, inline_tickets):
+            trace = service.trace(ticket)
+            assert trace.lines == inline.trace(reference).lines
+            assert trace.digest() == inline.trace(reference).digest()
 
     def test_transport_accounting(self, small_network):
-        def measured(**backend_kwargs):
-            service = service_with_backend(
-                small_network, 1, measure_transport=True,
-                **backend_kwargs,
-            )
-            try:
-                for query in WORKLOAD:
-                    service.submit(query, 0.1)
-                service.run()
-                return service.backend.transport_stats()
-            finally:
-                service.close()
-
-        eager = measured(lazy_traces=False)
-        lazy = measured()
+        service = service_with_backend(
+            small_network, 1, measure_transport=True
+        )
+        try:
+            for query in WORKLOAD:
+                service.submit(query, 0.1)
+            service.run()
+            stats = service.backend.transport_stats()
+        finally:
+            service.close()
         # Every submit happened before the first pump, so the whole
         # workload crossed as ONE job message (that's the batching).
-        assert eager.job_messages == lazy.job_messages == 1
-        assert lazy.replies == eager.replies == len(WORKLOAD)
-        # The entire point: not shipping trace lines eagerly makes the
-        # replies materially smaller on a traced workload.
-        assert lazy.reply_bytes < eager.reply_bytes
-        assert lazy.total_bytes < eager.total_bytes
+        assert stats.job_messages == 1
+        assert stats.replies == len(WORKLOAD)
 
     def test_transport_stats_require_opt_in(self, small_network):
         with QueryService(
@@ -801,10 +589,6 @@ class TestLazyTraceTransport:
         ) as service:
             with pytest.raises(ConfigurationError, match="transport"):
                 service.backend.transport_stats()
-
-    def test_trace_store_limit_validation(self, small_network):
-        with pytest.raises(ConfigurationError):
-            service_with_backend(small_network, 1, trace_store_limit=0)
 
 
 class TestShmLifecycle:
@@ -850,7 +634,7 @@ class TestShmLifecycle:
             ) is not None
             old_segment = service.backend._pack.manifest.segment
 
-            def refuse(simulator, share_arrays):
+            def refuse(simulator):
                 raise RuntimeError("no segment for you")
 
             monkeypatch.setattr(
@@ -887,8 +671,8 @@ class TestShmLifecycle:
             staged = []
             real_export = backend_module.ForkedBackend._export
 
-            def capturing(simulator, share_arrays):
-                pack = real_export(simulator, share_arrays)
+            def capturing(simulator):
+                pack = real_export(simulator)
                 staged.append(pack.manifest.segment)
                 return pack
 

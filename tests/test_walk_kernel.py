@@ -57,6 +57,7 @@ TOPOLOGIES = (
 )
 
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")
+AVG_ALL = parse_query("SELECT AVG(A) FROM T")
 
 
 def walker_pair(topology, variant, jump, burn_in, seed, start=0):
@@ -522,6 +523,28 @@ class TestDeltaReestimation:
             result.requested_sample_size
         )
         assert reuse[0]["dropped"] >= 0
+
+    def test_warm_and_delta_avg_intervals_share_the_cold_scale(self):
+        """Regression: warm and delta AVG answers reported their
+        half-width on the SUM scale, thousands of times too wide."""
+        net1, net2, _ = churned_pair()
+        engine = HybridEngine(
+            net1, self.CONFIG, seed=7, delta_reestimation=True
+        )
+        cold = engine.execute(AVG_ALL, 0.2, sink=0)
+        warm = engine.execute(AVG_ALL, 0.2, sink=0)
+        engine.rebind(net2)
+        delta = engine.execute(AVG_ALL, 0.2, sink=0)
+        assert (engine.cold_runs, engine.warm_runs, engine.delta_runs) == (
+            1, 1, 1,
+        )
+        exact = evaluate_exact(AVG_ALL, net1.databases())
+        cold_width = cold.confidence_interval.half_width
+        assert 0 < cold_width < abs(exact)
+        for result in (warm, delta):
+            width = result.confidence_interval.half_width
+            assert cold_width / 10 < width < 10 * cold_width
+            assert width < abs(exact)
 
     def test_delta_topup_is_cheaper_than_cold_rewalk(self):
         net1, net2, live = churned_pair()
